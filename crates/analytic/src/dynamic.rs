@@ -15,7 +15,7 @@
 //! to the routing of the new transaction").
 
 use crate::params::SystemParams;
-use crate::response::{response_times, ContentionInputs, HoldTimes, ResponseEstimate};
+use crate::response::{response_times_with, AbortOrders, ContentionInputs, HoldTimes};
 
 /// State observed by a router at decision time.
 ///
@@ -194,77 +194,177 @@ fn central_residence(params: &SystemParams) -> f64 {
     params.nominal_central_response() - 2.0 * params.comm_delay
 }
 
-/// Utilization pair (local, central) for the observed state, optionally
-/// with the incoming transaction added at one site.
-fn utilizations(
-    params: &SystemParams,
-    obs: &Observed,
-    estimator: UtilizationEstimator,
-    extra_local: f64,
-    extra_central: f64,
-) -> (f64, f64) {
-    match estimator {
-        UtilizationEstimator::QueueLength => (
-            normalize_rho(rho_from_queue(obs.q_local + extra_local), obs.local_speed),
-            normalize_rho(
-                rho_from_queue(obs.q_central + extra_central),
-                obs.central_speed,
+/// The run-constant half of the Section 3.2 routing estimate.
+///
+/// Everything the estimator needs that does not depend on the observed
+/// state — validated parameters, nominal lock spans, the abort-order
+/// integrals at those spans and the link delay, and the derived residence
+/// times — is computed once here. [`RouteModel::estimate`] then does only
+/// the observation-dependent algebra, and returns exactly (bit for bit)
+/// what recomputing everything per call would.
+///
+/// # Examples
+///
+/// ```
+/// use hls_analytic::{estimate_route_cases, Observed, RouteModel, SystemParams};
+/// use hls_analytic::UtilizationEstimator::QueueLength;
+///
+/// let params = SystemParams::paper_default();
+/// let model = RouteModel::new(&params);
+/// let obs = Observed { q_local: 6.0, ..Observed::default() };
+/// assert_eq!(model.estimate(&obs, QueueLength), estimate_route_cases(&params, &obs, QueueLength));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RouteModel {
+    params: SystemParams,
+    /// Abort orders at the nominal spans.
+    orders: AbortOrders,
+    /// [`central_residence`] of `params`.
+    central_residence: f64,
+    /// `params.nominal_local_response()`.
+    local_response: f64,
+}
+
+impl RouteModel {
+    /// Builds the model for `params`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` fail validation.
+    #[must_use]
+    pub fn new(params: &SystemParams) -> Self {
+        params.validate().expect("invalid system parameters");
+        RouteModel {
+            params: *params,
+            orders: AbortOrders::new(&HoldTimes::nominal(params), params.comm_delay),
+            central_residence: central_residence(params),
+            local_response: params.nominal_local_response(),
+        }
+    }
+
+    /// The parameters this model was built for.
+    #[must_use]
+    pub fn params(&self) -> &SystemParams {
+        &self.params
+    }
+
+    /// Produces the case-(1)/case-(2) estimates a dynamic router compares
+    /// for the observed state `obs`.
+    #[must_use]
+    pub fn estimate(&self, obs: &Observed, estimator: UtilizationEstimator) -> RouteEstimates {
+        let params = &self.params;
+        let c = self.contention(obs);
+        let response = |rho_l, rho_c| response_times_with(params, rho_l, rho_c, &c, &self.orders);
+
+        // Utilizations seen by the newcomer (state as observed, self excluded).
+        let (rho_l_base, rho_c_base) = self.utilizations(obs, estimator, 0.0, 0.0);
+        let base = response(rho_l_base, rho_c_base);
+
+        // Case 1: newcomer routed locally — others see a busier local site.
+        let (rho_l_plus, _) = self.utilizations(obs, estimator, 1.0, 0.0);
+        let case1 = response(rho_l_plus, rho_c_base);
+
+        // Case 2: newcomer shipped — others see a busier central complex.
+        let (_, rho_c_plus) = self.utilizations(obs, estimator, 0.0, 1.0);
+        let case2 = response(rho_l_base, rho_c_plus);
+
+        RouteEstimates {
+            run_local: CaseEstimate {
+                r_incoming: base.r_local,
+                r_local: case1.r_local,
+                // Routing the newcomer locally leaves the central complex
+                // (and the other sites' origin processing) unchanged for
+                // the transactions already in the system.
+                r_central: base.r_central,
+                rho_local: rho_l_plus,
+                rho_central: rho_c_base,
+            },
+            ship: CaseEstimate {
+                r_incoming: base.r_central,
+                r_local: case2.r_local,
+                r_central: case2.r_central,
+                rho_local: rho_l_base,
+                rho_central: rho_c_plus,
+            },
+        }
+    }
+
+    /// Utilization pair (local, central) for the observed state, optionally
+    /// with the incoming transaction added at one site.
+    fn utilizations(
+        &self,
+        obs: &Observed,
+        estimator: UtilizationEstimator,
+        extra_local: f64,
+        extra_central: f64,
+    ) -> (f64, f64) {
+        let params = &self.params;
+        match estimator {
+            UtilizationEstimator::QueueLength => (
+                normalize_rho(rho_from_queue(obs.q_local + extra_local), obs.local_speed),
+                normalize_rho(
+                    rho_from_queue(obs.q_central + extra_central),
+                    obs.central_speed,
+                ),
             ),
-        ),
-        UtilizationEstimator::NumInSystem => {
-            // The observing node's true service rate: nominal MIPS
-            // scaled by its relative speed (exact at speed 1.0, since
-            // `x * 1.0 == x`).
-            let cpu_l = params.exec_instr() / (params.local_mips * obs.local_speed);
-            let cpu_c = params.central_exec_instr() / (params.central_mips * obs.central_speed);
-            let non_cpu_l = params.total_io();
-            let non_cpu_c = central_residence(params) - cpu_c;
-            (
-                rho_from_population(obs.n_local + extra_local, cpu_l, non_cpu_l),
-                rho_from_population(obs.n_central + extra_central, cpu_c, non_cpu_c),
-            )
+            UtilizationEstimator::NumInSystem => {
+                // The observing node's true service rate: nominal MIPS
+                // scaled by its relative speed (exact at speed 1.0, since
+                // `x * 1.0 == x`).
+                let cpu_l = params.exec_instr() / (params.local_mips * obs.local_speed);
+                let cpu_c = params.central_exec_instr() / (params.central_mips * obs.central_speed);
+                let non_cpu_l = params.total_io();
+                let non_cpu_c = self.central_residence - cpu_c;
+                (
+                    rho_from_population(obs.n_local + extra_local, cpu_l, non_cpu_l),
+                    rho_from_population(obs.n_central + extra_central, cpu_c, non_cpu_c),
+                )
+            }
+        }
+    }
+
+    /// Contention inputs from observed lock counts, following Section
+    /// 3.2.1: "the probabilities of contention are estimated from the
+    /// number of locks held", e.g. `P = n_lock / lockspace`.
+    fn contention(&self, obs: &Observed) -> ContentionInputs {
+        let params = &self.params;
+        let s = params.slice();
+        let l = params.lockspace;
+        let d = params.comm_delay;
+        let nl = params.locks_per_txn;
+
+        let p_ll = (obs.locks_local / s).min(1.0);
+        // Central locks are uniform over the whole space; the share in any
+        // one slice is locks_central / lockspace of the slice.
+        let p_central = (obs.locks_central / l).min(1.0);
+        // Authentication holds last ~2d out of a beta_c lock span.
+        let p_lauth = (p_central * (2.0 * d / self.orders.holds().beta_c).min(1.0)).min(1.0);
+        // Little's-law request-rate estimates for the as-holder abort terms.
+        let local_commit_rate = obs.n_local / self.local_response;
+        let central_req_rate_db =
+            obs.n_central * nl / self.central_residence / params.n_sites as f64;
+        let local_req_rate_site = obs.n_local * nl / self.local_response;
+        let p_coh = (local_commit_rate * nl * 2.0 * d / s).min(1.0);
+
+        ContentionInputs {
+            p_ll,
+            p_lc_new: p_central,
+            p_lc_rerun: 0.0,
+            p_lauth,
+            p_cc: p_central,
+            p_cl_new: p_ll,
+            p_cl_rerun: 0.0,
+            p_coh,
+            central_req_rate_db,
+            local_req_rate_site,
         }
     }
 }
 
-/// Contention inputs from observed lock counts, following Section 3.2.1:
-/// "the probabilities of contention are estimated from the number of locks
-/// held", e.g. `P = n_lock / lockspace`.
-fn contention_from_observation(params: &SystemParams, obs: &Observed) -> ContentionInputs {
-    let s = params.slice();
-    let l = params.lockspace;
-    let d = params.comm_delay;
-    let nl = params.locks_per_txn;
-    let holds = HoldTimes::nominal(params);
-
-    let p_ll = (obs.locks_local / s).min(1.0);
-    // Central locks are uniform over the whole space; the share in any one
-    // slice is locks_central / lockspace of the slice.
-    let p_central = (obs.locks_central / l).min(1.0);
-    // Authentication holds last ~2d out of a beta_c lock span.
-    let p_lauth = (p_central * (2.0 * d / holds.beta_c).min(1.0)).min(1.0);
-    // Little's-law request-rate estimates for the as-holder abort terms.
-    let local_commit_rate = obs.n_local / params.nominal_local_response();
-    let central_req_rate_db =
-        obs.n_central * nl / central_residence(params) / params.n_sites as f64;
-    let local_req_rate_site = obs.n_local * nl / params.nominal_local_response();
-    let p_coh = (local_commit_rate * nl * 2.0 * d / s).min(1.0);
-
-    ContentionInputs {
-        p_ll,
-        p_lc_new: p_central,
-        p_lc_rerun: 0.0,
-        p_lauth,
-        p_cc: p_central,
-        p_cl_new: p_ll,
-        p_cl_rerun: 0.0,
-        p_coh,
-        central_req_rate_db,
-        local_req_rate_site,
-    }
-}
-
 /// Produces the case-(1)/case-(2) estimates a dynamic router compares.
+///
+/// Builds a [`RouteModel`] per call; a caller that estimates repeatedly
+/// for the same parameters should keep the model instead.
 ///
 /// # Panics
 ///
@@ -275,41 +375,7 @@ pub fn estimate_route_cases(
     obs: &Observed,
     estimator: UtilizationEstimator,
 ) -> RouteEstimates {
-    params.validate().expect("invalid system parameters");
-    let c = contention_from_observation(params, obs);
-    let holds = HoldTimes::nominal(params);
-
-    // Utilizations seen by the newcomer (state as observed, self excluded).
-    let (rho_l_base, rho_c_base) = utilizations(params, obs, estimator, 0.0, 0.0);
-    let base: ResponseEstimate = response_times(params, rho_l_base, rho_c_base, &c, &holds);
-
-    // Case 1: newcomer routed locally — others see a busier local site.
-    let (rho_l_plus, _) = utilizations(params, obs, estimator, 1.0, 0.0);
-    let case1 = response_times(params, rho_l_plus, rho_c_base, &c, &holds);
-
-    // Case 2: newcomer shipped — others see a busier central complex.
-    let (_, rho_c_plus) = utilizations(params, obs, estimator, 0.0, 1.0);
-    let case2 = response_times(params, rho_l_base, rho_c_plus, &c, &holds);
-
-    RouteEstimates {
-        run_local: CaseEstimate {
-            r_incoming: base.r_local,
-            r_local: case1.r_local,
-            // Routing the newcomer locally leaves the central complex (and
-            // the other sites' origin processing) unchanged for the
-            // transactions already in the system.
-            r_central: base.r_central,
-            rho_local: rho_l_plus,
-            rho_central: rho_c_base,
-        },
-        ship: CaseEstimate {
-            r_incoming: base.r_central,
-            r_local: case2.r_local,
-            r_central: case2.r_central,
-            rho_local: rho_l_base,
-            rho_central: rho_c_plus,
-        },
-    }
+    RouteModel::new(params).estimate(obs, estimator)
 }
 
 /// The utilization estimate used by the tuned queue-length heuristic of
@@ -562,7 +628,7 @@ mod tests {
             UtilizationEstimator::QueueLength,
             UtilizationEstimator::NumInSystem,
         ] {
-            let (rl, rc) = utilizations(&p, &obs, est, 0.0, 0.0);
+            let (rl, rc) = RouteModel::new(&p).utilizations(&obs, est, 0.0, 0.0);
             // Recompute the pre-speed formulas by hand.
             let (el, ec) = match est {
                 UtilizationEstimator::QueueLength => {

@@ -6,10 +6,12 @@
 //! 1. **Static load sharing** ([`solve_static`], [`optimal_static_ship`]):
 //!    given arrival rates, find the probability `p_ship` of shipping an
 //!    incoming class A transaction that minimizes mean response time.
-//! 2. **Dynamic routing estimation** ([`estimate_route_cases`]): at each
-//!    arrival, estimate the response-time consequences of running locally
-//!    vs. shipping, from observed queue lengths / populations / lock counts
-//!    (Sections 3.2.1–3.2.2).
+//! 2. **Dynamic routing estimation** ([`RouteModel`], or the per-call
+//!    [`estimate_route_cases`]): at each arrival, estimate the
+//!    response-time consequences of running locally vs. shipping, from
+//!    observed queue lengths / populations / lock counts (Sections
+//!    3.2.1–3.2.2). The model holds everything that is constant for a run,
+//!    so a decision costs only the observation-dependent algebra.
 //! 3. **Model validation**: the `analytic_check` experiment compares these
 //!    predictions against the discrete-event simulator.
 //!
@@ -43,12 +45,13 @@ mod static_opt;
 
 pub use dynamic::{
     estimate_route_cases, heuristic_utilizations, CaseEstimate, Observed, RouteEstimates,
-    UtilizationEstimator,
+    RouteModel, UtilizationEstimator,
 };
 pub use model::{solve_static, StaticSolution};
 pub use params::SystemParams;
 pub use residual::{p_local_loses_as_holder, p_local_loses_as_requester};
 pub use response::{
-    response_times, ContentionInputs, FlowRates, HoldTimes, ResponseEstimate, ABORT_CAP, RHO_CAP,
+    response_times, response_times_with, AbortOrders, ContentionInputs, FlowRates, HoldTimes,
+    ResponseEstimate, ABORT_CAP, RHO_CAP,
 };
 pub use static_opt::{optimal_static_ship, StaticOptimum};

@@ -181,6 +181,70 @@ impl ResponseEstimate {
     }
 }
 
+/// The who-finishes-first probabilities behind every collision abort,
+/// for one set of lock-holding spans and one link delay.
+///
+/// Each field is `P(local transaction loses)` for a collision between a
+/// local transaction of span `beta_l` (first run, `lf`) or `gamma_l`
+/// (re-run, `lr`) and a central one of span `beta_c` (`cf`) or `gamma_c`
+/// (`cr`), with the local side as lock requester (`req_*`) or holder
+/// (`hold_*`). These are the model's only integrals and depend on nothing
+/// but the spans and the delay, so a caller whose spans are fixed (the
+/// dynamic routers, which price every decision at the nominal spans)
+/// computes them once and reuses them through [`response_times_with`].
+/// The fields are private so the probabilities always match the spans and
+/// delay they were integrated for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AbortOrders {
+    /// The spans these probabilities were integrated over.
+    holds: HoldTimes,
+    /// The one-way link delay they were integrated at.
+    comm_delay: f64,
+    /// Local first-run requester vs. central first-run holder.
+    req_lf_cf: f64,
+    /// Local first-run requester vs. central re-run holder.
+    req_lf_cr: f64,
+    /// Local re-run requester vs. central first-run holder.
+    req_lr_cf: f64,
+    /// Local re-run requester vs. central re-run holder.
+    req_lr_cr: f64,
+    /// Local first-run holder vs. central first-run requester.
+    hold_lf_cf: f64,
+    /// Local first-run holder vs. central re-run requester.
+    hold_lf_cr: f64,
+    /// Local re-run holder vs. central first-run requester.
+    hold_lr_cf: f64,
+    /// Local re-run holder vs. central re-run requester.
+    hold_lr_cr: f64,
+}
+
+impl AbortOrders {
+    /// Integrates the eight order probabilities for `holds` at link delay
+    /// `comm_delay`.
+    #[must_use]
+    pub fn new(holds: &HoldTimes, comm_delay: f64) -> Self {
+        let d = comm_delay;
+        AbortOrders {
+            holds: *holds,
+            comm_delay,
+            req_lf_cf: p_local_loses_as_requester(holds.beta_l, holds.beta_c, d),
+            req_lf_cr: p_local_loses_as_requester(holds.beta_l, holds.gamma_c, d),
+            req_lr_cf: p_local_loses_as_requester(holds.gamma_l, holds.beta_c, d),
+            req_lr_cr: p_local_loses_as_requester(holds.gamma_l, holds.gamma_c, d),
+            hold_lf_cf: p_local_loses_as_holder(holds.beta_l, holds.beta_c, d),
+            hold_lf_cr: p_local_loses_as_holder(holds.beta_l, holds.gamma_c, d),
+            hold_lr_cf: p_local_loses_as_holder(holds.gamma_l, holds.beta_c, d),
+            hold_lr_cr: p_local_loses_as_holder(holds.gamma_l, holds.gamma_c, d),
+        }
+    }
+
+    /// The spans these probabilities were integrated over.
+    #[must_use]
+    pub fn holds(&self) -> &HoldTimes {
+        &self.holds
+    }
+}
+
 /// Evaluates the Section 3.1 response-time equations once.
 ///
 /// `rho_local` / `rho_central` are CPU utilizations (capped at [`RHO_CAP`]
@@ -195,6 +259,28 @@ pub fn response_times(
     c: &ContentionInputs,
     holds: &HoldTimes,
 ) -> ResponseEstimate {
+    let orders = AbortOrders::new(holds, params.comm_delay);
+    response_times_with(params, rho_local, rho_central, c, &orders)
+}
+
+/// [`response_times`] with the abort-order integrals supplied: the lock
+/// spans are the ones `orders` was built for, and `orders` must have been
+/// built at `params.comm_delay`. Bit-identical to [`response_times`] with
+/// those spans.
+#[must_use]
+pub fn response_times_with(
+    params: &SystemParams,
+    rho_local: f64,
+    rho_central: f64,
+    c: &ContentionInputs,
+    orders: &AbortOrders,
+) -> ResponseEstimate {
+    debug_assert_eq!(
+        orders.comm_delay.to_bits(),
+        params.comm_delay.to_bits(),
+        "abort orders built at another link delay"
+    );
+    let holds = &orders.holds;
     let nl = params.locks_per_txn;
     let d = params.comm_delay;
     let s = params.slice();
@@ -231,38 +317,30 @@ pub fn response_times(
         params.rerun_instr() / params.central_mips * ec + lock_wait_c + auth_round;
 
     // --- Abort probabilities from collision × who-finishes-first ---
-    let pw_req_new = p_local_loses_as_requester(holds.beta_l, holds.beta_c, d);
-    let pw_req_rr = p_local_loses_as_requester(holds.beta_l, holds.gamma_c, d);
-    let pw_hold_new = p_local_loses_as_holder(holds.beta_l, holds.beta_c, d);
-    let pw_req_new_rr = p_local_loses_as_requester(holds.gamma_l, holds.beta_c, d);
-    let pw_req_rr_rr = p_local_loses_as_requester(holds.gamma_l, holds.gamma_c, d);
-    let pw_hold_rr = p_local_loses_as_holder(holds.gamma_l, holds.beta_c, d);
-
     // Local first run: collisions from its own requests plus central
     // requests landing on its held locks.
-    let own_l1 = nl * (c.p_lc_new * pw_req_new + c.p_lc_rerun * pw_req_rr);
-    let as_holder_l1 = c.central_req_rate_db * (nl * holds.beta_l / 2.0) / s * pw_hold_new;
+    let own_l1 = nl * (c.p_lc_new * orders.req_lf_cf + c.p_lc_rerun * orders.req_lf_cr);
+    let as_holder_l1 = c.central_req_rate_db * (nl * holds.beta_l / 2.0) / s * orders.hold_lf_cf;
     let p_abort_local_first = (own_l1 + as_holder_l1).clamp(0.0, ABORT_CAP);
 
-    let own_l2 = nl * (c.p_lc_new * pw_req_new_rr + c.p_lc_rerun * pw_req_rr_rr);
-    let as_holder_l2 = c.central_req_rate_db * (nl * holds.gamma_l) / s * pw_hold_rr;
+    let own_l2 = nl * (c.p_lc_new * orders.req_lr_cf + c.p_lc_rerun * orders.req_lr_cr);
+    let as_holder_l2 = c.central_req_rate_db * (nl * holds.gamma_l) / s * orders.hold_lr_cf;
     let p_abort_local_rerun = (own_l2 + as_holder_l2).clamp(0.0, ABORT_CAP);
 
     // Central first run: its own requests colliding with local holders
     // (central loses when the local holder outlives its authentication),
     // local requests landing on its locks (central loses when the local
     // requester finishes first), plus coherence-count negative acks.
-    let own_c1 = nl
-        * (c.p_cl_new * (1.0 - p_local_loses_as_holder(holds.beta_l, holds.beta_c, d))
-            + c.p_cl_rerun * (1.0 - p_local_loses_as_holder(holds.gamma_l, holds.beta_c, d)));
-    let as_holder_c1 = c.local_req_rate_site * (nl * holds.beta_c / 2.0) / s * (1.0 - pw_req_new);
+    let own_c1 =
+        nl * (c.p_cl_new * (1.0 - orders.hold_lf_cf) + c.p_cl_rerun * (1.0 - orders.hold_lr_cf));
+    let as_holder_c1 =
+        c.local_req_rate_site * (nl * holds.beta_c / 2.0) / s * (1.0 - orders.req_lf_cf);
     let p_coh_txn = 1.0 - (1.0 - c.p_coh).powf(nl);
     let p_abort_central_first = (own_c1 + as_holder_c1 + p_coh_txn).clamp(0.0, ABORT_CAP);
 
-    let own_c2 = nl
-        * (c.p_cl_new * (1.0 - p_local_loses_as_holder(holds.beta_l, holds.gamma_c, d))
-            + c.p_cl_rerun * (1.0 - p_local_loses_as_holder(holds.gamma_l, holds.gamma_c, d)));
-    let as_holder_c2 = c.local_req_rate_site * (nl * holds.gamma_c) / s * (1.0 - pw_req_new);
+    let own_c2 =
+        nl * (c.p_cl_new * (1.0 - orders.hold_lf_cr) + c.p_cl_rerun * (1.0 - orders.hold_lr_cr));
+    let as_holder_c2 = c.local_req_rate_site * (nl * holds.gamma_c) / s * (1.0 - orders.req_lf_cf);
     let p_abort_central_rerun = (own_c2 + as_holder_c2 + p_coh_txn).clamp(0.0, ABORT_CAP);
 
     // Geometric rerun expansion (the paper's fourth response-time term).

@@ -2,7 +2,7 @@
 //! dynamic routers evaluate the model on every class A arrival.
 
 use hls_analytic::{
-    estimate_route_cases, optimal_static_ship, solve_static, Observed, SystemParams,
+    estimate_route_cases, optimal_static_ship, solve_static, Observed, RouteModel, SystemParams,
     UtilizationEstimator,
 };
 use hls_bench::microbench::bench;
@@ -40,6 +40,17 @@ fn bench_route_estimate() {
     ] {
         bench(&format!("analytic/route_estimate_{name}"), || {
             estimate_route_cases(&params, black_box(&obs), est)
+        });
+    }
+    // What the analytic routers run per decision: the model is built once
+    // per run, so only the observation-dependent algebra is timed.
+    let model = RouteModel::new(&params);
+    for (name, est) in [
+        ("queue", UtilizationEstimator::QueueLength),
+        ("num", UtilizationEstimator::NumInSystem),
+    ] {
+        bench(&format!("analytic/route_model_estimate_{name}"), || {
+            model.estimate(black_box(&obs), est)
         });
     }
 }

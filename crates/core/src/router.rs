@@ -8,7 +8,8 @@
 use std::fmt;
 
 use hls_analytic::{
-    estimate_route_cases, heuristic_utilizations, Observed, SystemParams, UtilizationEstimator,
+    heuristic_utilizations, Observed, RouteEstimates, RouteModel, SystemParams,
+    UtilizationEstimator,
 };
 use hls_sim::{SimDuration, SimRng, SimTime};
 
@@ -172,8 +173,14 @@ impl RouterSpec {
             RouterSpec::UtilizationThreshold { threshold } => {
                 Box::new(UtilizationThreshold { threshold })
             }
-            RouterSpec::MinIncoming { estimator } => Box::new(MinIncoming { estimator }),
-            RouterSpec::MinAverage { estimator } => Box::new(MinAverage { estimator }),
+            RouterSpec::MinIncoming { estimator } => Box::new(MinIncoming {
+                estimator,
+                model: ModelCache::default(),
+            }),
+            RouterSpec::MinAverage { estimator } => Box::new(MinAverage {
+                estimator,
+                model: ModelCache::default(),
+            }),
             RouterSpec::SmoothedMinAverage { estimator, scale } => {
                 Box::new(SmoothedMinAverage::new(estimator, scale))
             }
@@ -319,15 +326,32 @@ impl Router for UtilizationThreshold {
     }
 }
 
+/// The analytic routers' [`RouteModel`], built from the run's parameters
+/// on the first decision (a router is built before it sees them) and
+/// rebuilt only if a later decision brings different parameters.
+#[derive(Debug, Clone, Copy, Default)]
+struct ModelCache(Option<RouteModel>);
+
+impl ModelCache {
+    fn estimate(&mut self, ctx: &RouteCtx<'_>, estimator: UtilizationEstimator) -> RouteEstimates {
+        let model = match &mut self.0 {
+            Some(model) if model.params() == ctx.params => model,
+            slot => slot.insert(RouteModel::new(ctx.params)),
+        };
+        model.estimate(&ctx.obs, estimator)
+    }
+}
+
 /// Section 3.2.1: minimize the incoming transaction's estimated response.
 #[derive(Debug, Clone, Copy)]
 struct MinIncoming {
     estimator: UtilizationEstimator,
+    model: ModelCache,
 }
 
 impl Router for MinIncoming {
     fn decide(&mut self, ctx: &mut RouteCtx<'_>) -> Route {
-        let cases = estimate_route_cases(ctx.params, &ctx.obs, self.estimator);
+        let cases = self.model.estimate(ctx, self.estimator);
         if cases.prefer_ship_incoming() {
             Route::Central
         } else {
@@ -341,11 +365,12 @@ impl Router for MinIncoming {
 #[derive(Debug, Clone, Copy)]
 struct MinAverage {
     estimator: UtilizationEstimator,
+    model: ModelCache,
 }
 
 impl Router for MinAverage {
     fn decide(&mut self, ctx: &mut RouteCtx<'_>) -> Route {
-        let cases = estimate_route_cases(ctx.params, &ctx.obs, self.estimator);
+        let cases = self.model.estimate(ctx, self.estimator);
         if cases.prefer_ship_average(&ctx.obs) {
             Route::Central
         } else {
@@ -359,16 +384,22 @@ impl Router for MinAverage {
 /// link delay.
 ///
 /// The four per-transaction message legs (ship, result, plus the commit
-/// round trip) all traverse the arriving site's link, so substituting
-/// its true delay into [`SystemParams::comm_delay`] before estimation
-/// prices the inter-island premium exactly where it is paid. With no
-/// delays registered (or a uniform vector) the substitution is the
-/// nominal value and the router reduces to plain min-average.
+/// round trip) all traverse the arriving site's link, so the router prices
+/// each site with a [`RouteModel`] whose [`SystemParams::comm_delay`] is
+/// that site's true delay — one model per distinct delay, so an island
+/// topology builds one per island. A site with no registered delay (all of
+/// them on a uniform topology) is priced at the nominal delay, where the
+/// router reduces to plain min-average.
 #[derive(Debug, Clone)]
 pub struct IslandAwareRouter {
     estimator: UtilizationEstimator,
-    /// Per-site one-way link delay, seconds; empty = uniform topology.
-    site_delays: Vec<f64>,
+    /// Distinct registered link delays, in order of first appearance.
+    delays: Vec<f64>,
+    /// Per-site index into `delays` (and `models`).
+    site_model: Vec<usize>,
+    /// One model per entry of `delays`, then the nominal-delay model,
+    /// built for the run's parameters on the first decision.
+    models: Vec<RouteModel>,
 }
 
 impl IslandAwareRouter {
@@ -384,20 +415,56 @@ impl IslandAwareRouter {
             site_delays.iter().all(|d| d.is_finite() && *d >= 0.0),
             "site delays must be finite and >= 0"
         );
+        let mut delays: Vec<f64> = Vec::new();
+        let site_model = site_delays
+            .iter()
+            .map(|d| {
+                delays
+                    .iter()
+                    .position(|k| k.to_bits() == d.to_bits())
+                    .unwrap_or_else(|| {
+                        delays.push(*d);
+                        delays.len() - 1
+                    })
+            })
+            .collect();
         IslandAwareRouter {
             estimator,
-            site_delays,
+            delays,
+            site_model,
+            models: Vec::new(),
         }
+    }
+
+    /// The model pricing `site`, (re)building all of them if `params` are
+    /// not the ones they were built for.
+    fn model(&mut self, params: &SystemParams, site: usize) -> &RouteModel {
+        // The nominal model is built from `params` unchanged, so it doubles
+        // as the record of which parameters the set was built for.
+        if self.models.last().is_none_or(|m| m.params() != params) {
+            self.models = self
+                .delays
+                .iter()
+                .map(|&comm_delay| {
+                    RouteModel::new(&SystemParams {
+                        comm_delay,
+                        ..*params
+                    })
+                })
+                .chain(std::iter::once(RouteModel::new(params)))
+                .collect();
+        }
+        let nominal = self.delays.len();
+        &self.models[self.site_model.get(site).copied().unwrap_or(nominal)]
     }
 }
 
 impl Router for IslandAwareRouter {
     fn decide(&mut self, ctx: &mut RouteCtx<'_>) -> Route {
-        let mut params = *ctx.params;
-        if let Some(&d) = self.site_delays.get(ctx.site) {
-            params.comm_delay = d;
-        }
-        let cases = estimate_route_cases(&params, &ctx.obs, self.estimator);
+        let estimator = self.estimator;
+        let cases = self
+            .model(ctx.params, ctx.site)
+            .estimate(&ctx.obs, estimator);
         if cases.prefer_ship_average(&ctx.obs) {
             Route::Central
         } else {
@@ -412,6 +479,7 @@ impl Router for IslandAwareRouter {
 struct SmoothedMinAverage {
     estimator: UtilizationEstimator,
     scale: f64,
+    model: ModelCache,
 }
 
 impl SmoothedMinAverage {
@@ -420,13 +488,17 @@ impl SmoothedMinAverage {
             scale > 0.0 && scale.is_finite(),
             "smoothing scale must be positive and finite, got {scale}"
         );
-        SmoothedMinAverage { estimator, scale }
+        SmoothedMinAverage {
+            estimator,
+            scale,
+            model: ModelCache::default(),
+        }
     }
 }
 
 impl Router for SmoothedMinAverage {
     fn decide(&mut self, ctx: &mut RouteCtx<'_>) -> Route {
-        let cases = estimate_route_cases(ctx.params, &ctx.obs, self.estimator);
+        let cases = self.model.estimate(ctx, self.estimator);
         let advantage = cases.average_advantage_of_shipping(&ctx.obs);
         let p_ship = 1.0 / (1.0 + (-advantage / self.scale).exp());
         if ctx.rng.random::<f64>() < p_ship {
@@ -598,6 +670,105 @@ mod tests {
             assert_eq!(bare.decide(&mut ctx(&params, &mut rng, obs)), want);
             assert_eq!(uniform.decide(&mut ctx(&params, &mut rng, obs)), want);
         }
+    }
+
+    /// Observed states from an idle site to a deep local queue, against
+    /// a quiet and a busy central complex.
+    fn obs_sweep() -> impl Iterator<Item = Observed> {
+        (0..20).flat_map(|q| {
+            [2.0, 30.0].map(|n_central| Observed {
+                q_local: f64::from(q),
+                n_local: f64::from(q) + 1.0,
+                q_central: n_central / 4.0,
+                n_central,
+                locks_local: f64::from(q) * 10.0,
+                locks_central: n_central * 10.0,
+                ..Observed::default()
+            })
+        })
+    }
+
+    #[test]
+    fn analytic_routers_rebuild_their_model_when_params_change() {
+        // A router builds its model on the first decision; decisions made
+        // under a different link delay must come from a rebuilt model,
+        // deciding exactly as a fresh per-call estimate does.
+        let near = SystemParams {
+            comm_delay: 0.05,
+            ..SystemParams::paper_default()
+        };
+        let far = SystemParams {
+            comm_delay: 2.0,
+            ..near
+        };
+        let mut rng = RngStreams::new(10).stream(0);
+        for estimator in [
+            UtilizationEstimator::QueueLength,
+            UtilizationEstimator::NumInSystem,
+        ] {
+            for spec in [
+                RouterSpec::MinIncoming { estimator },
+                RouterSpec::MinAverage { estimator },
+                RouterSpec::IslandAware { estimator },
+            ] {
+                let mut r = spec.build(10);
+                let mut differed = false;
+                for obs in obs_sweep() {
+                    let mut got = [Route::Local; 2];
+                    for (i, params) in [&near, &far].into_iter().enumerate() {
+                        let cases = hls_analytic::estimate_route_cases(params, &obs, estimator);
+                        let ship = match spec {
+                            RouterSpec::MinIncoming { .. } => cases.prefer_ship_incoming(),
+                            _ => cases.prefer_ship_average(&obs),
+                        };
+                        let want = if ship { Route::Central } else { Route::Local };
+                        got[i] = r.decide(&mut ctx(params, &mut rng, obs));
+                        assert_eq!(got[i], want, "{} at {obs:?}", spec.label());
+                    }
+                    differed |= got[0] != got[1];
+                }
+                assert!(differed, "{}: the delay never mattered", spec.label());
+            }
+        }
+    }
+
+    #[test]
+    fn island_aware_matches_per_call_delay_substitution() {
+        // Per-delay models must decide exactly as substituting each
+        // site's delay into the parameters on every call did; a site past
+        // the registered vector is priced at the nominal delay. The
+        // second pass changes the run's parameters, forcing a rebuild.
+        let delays = [0.05, 0.8, 0.05, 2.0, 0.8, 0.2];
+        let est = UtilizationEstimator::NumInSystem;
+        let mut rng = RngStreams::new(11).stream(0);
+        let mut r = RouterSpec::IslandAware { estimator: est }.build_topo(7, &delays);
+        let base = SystemParams::paper_default();
+        let tight = SystemParams {
+            lockspace: 2048.0,
+            ..base
+        };
+        let mut shipped = [0usize; 7];
+        for params in [base, tight] {
+            for obs in obs_sweep() {
+                for (site, ships) in shipped.iter_mut().enumerate() {
+                    let priced = SystemParams {
+                        comm_delay: delays.get(site).copied().unwrap_or(params.comm_delay),
+                        ..params
+                    };
+                    let cases = hls_analytic::estimate_route_cases(&priced, &obs, est);
+                    let want = if cases.prefer_ship_average(&obs) {
+                        Route::Central
+                    } else {
+                        Route::Local
+                    };
+                    let got = r.decide(&mut ctx_at(&params, &mut rng, site, obs));
+                    assert_eq!(got, want, "site {site} at {obs:?}");
+                    *ships += usize::from(got == Route::Central);
+                }
+            }
+        }
+        // The premium shows: the cheapest link ships most, the 2 s one least.
+        assert!(shipped[0] > shipped[3], "{shipped:?}");
     }
 
     #[test]
